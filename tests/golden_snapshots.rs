@@ -22,6 +22,7 @@ use std::path::PathBuf;
 
 use ethpos::core::golden;
 use ethpos::core::BackendKind;
+use ethpos::core::JobRequest;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -84,6 +85,41 @@ fn cohort_renderings_match_the_pinned_fixtures() {
             &scenario.render_from(outcome, snapshots),
         );
     }
+}
+
+/// §5.3 churn on the cohort path: a two-branch 50/50 churn timeline at
+/// n = 10⁵ fragments each branch into tens of thousands of cohorts
+/// before the dual-active conflict, so the document depends on every
+/// count draw landing on the same cohort in canonical order. The
+/// fixture is the `ethpos-cli partition` document of the same request:
+///
+/// ```bash
+/// ethpos-cli partition --timeline "churn@0:0=0.5,0.5" --strategy dual-active \
+///     --validators 100000 --epochs 64 --format json
+/// ```
+#[test]
+fn cohort_churn_document_matches_the_pinned_fixture() {
+    let request = JobRequest::parse(
+        r#"{"kind": "partition", "timelines": ["churn@0:0=0.5,0.5"],
+            "strategy": "dual-active", "validators": 100000, "epochs": 64,
+            "format": "json"}"#,
+    )
+    .expect("valid request");
+    let output = request.execute();
+    // The exact work counters of the same run: one draw per active
+    // cohort, branch and epoch, so ~5.9 k cohorts per branch-epoch over
+    // the 37 epochs before the conflict.
+    let stats: serde_json::Value =
+        serde_json::from_str(output.stats.as_deref().expect("partition stats")).unwrap();
+    let churn = |field: &str| {
+        stats
+            .get("churn")
+            .and_then(|churn| churn.get(field))
+            .and_then(|value| value.as_u64())
+    };
+    assert_eq!(churn("draws"), Some(437_259));
+    assert_eq!(churn("members"), Some(4_958_000));
+    check_or_regen("churn/dual_active_n100000.json", &output.document);
 }
 
 /// The corpus stays in sync with the scenario registry: no stale or
