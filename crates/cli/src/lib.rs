@@ -98,9 +98,9 @@ ARGS:
 OPTIONS:
     --format <text|json>    Output format [default: text]
     --out <path>            Write the document to a file instead of stdout
-    --stats-out <path>      (search, chaos) also write the run's work
-                            counters (prefix-memo checkpoint hits, fork
-                            depths, churn count-draws per cohort) as a
+    --stats-out <path>      (search, partition, chaos) also write the run's
+                            work counters (prefix-memo checkpoint hits,
+                            fork depths, churn count-draws per cohort) as a
                             separate JSON artifact — the main document
                             stays byte-identical
     --metrics-out <path>    (any run mode) enable the metrics registry and
@@ -253,6 +253,10 @@ pub enum Cli {
         format: Format,
         /// `--out` destination (stdout when absent).
         out: Option<String>,
+        /// `--stats-out` destination for the batch's fork and churn-draw
+        /// counters (no artifact when absent; never part of the report
+        /// document).
+        stats_out: Option<String>,
         /// Metrics/trace outputs (`--metrics-out`, `--trace-out`).
         obs: ObsOutputs,
     },
@@ -305,11 +309,13 @@ impl Cli {
         }
     }
 
-    /// The `--stats-out` destination, if one was given (search and
-    /// chaos only).
+    /// The `--stats-out` destination, if one was given (search,
+    /// partition and chaos only).
     pub fn stats_out(&self) -> Option<&str> {
         match self {
-            Cli::Search { stats_out, .. } | Cli::Chaos { stats_out, .. } => stats_out.as_deref(),
+            Cli::Search { stats_out, .. }
+            | Cli::Partition { stats_out, .. }
+            | Cli::Chaos { stats_out, .. } => stats_out.as_deref(),
             _ => None,
         }
     }
@@ -574,7 +580,6 @@ fn build_partition(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, C
             )));
         }
     }
-    reject_stats_out(&flags)?;
     let strategy = flags.strategy.unwrap_or(StrategyKind::RotateDwell);
     // Raw-timeline defaults live in core so the request API resolves
     // identical scenarios (identical bytes, identical cache addresses).
@@ -620,6 +625,7 @@ fn build_partition(experiments: &[Experiment], flags: RawFlags) -> Result<Cli, C
         },
         format: flags.format.unwrap_or(Format::Text),
         out: flags.out,
+        stats_out: flags.stats_out,
         obs,
     })
 }
@@ -759,7 +765,8 @@ fn reject_search_flags(flags: &RawFlags, hint: &str) -> Result<(), CliError> {
 fn reject_stats_out(flags: &RawFlags) -> Result<(), CliError> {
     if flags.stats_out.is_some() {
         return Err(CliError::Usage(
-            "--stats-out is only valid with the `search` and `chaos` subcommands".into(),
+            "--stats-out is only valid with the `search`, `partition` and `chaos` subcommands"
+                .into(),
         ));
     }
     Ok(())
@@ -984,7 +991,7 @@ pub struct Artifact {
 pub struct RunArtifacts {
     /// The main document ([`run`]'s return value).
     pub document: String,
-    /// The `--stats-out` artifact (search and chaos).
+    /// The `--stats-out` artifact (search, partition and chaos).
     pub stats: Option<StatsArtifact>,
     /// The `--metrics-out` artifact (any run mode).
     pub metrics: Option<Artifact>,
@@ -1032,16 +1039,13 @@ pub fn run_full(cli: &Cli) -> RunArtifacts {
 }
 
 /// [`run`] plus the `--stats-out` artifact when the invocation asked
-/// for one (search and chaos). The main document is byte-identical
+/// for one (search, partition and chaos). The main document is byte-identical
 /// with and without `--stats-out` — the counters never leak into it.
 pub fn run_with_stats(cli: &Cli) -> (String, Option<StatsArtifact>) {
     let Some(request) = job_request(cli) else {
         return (run_plain(cli), None);
     };
     let output = request.execute();
-    // Partition jobs carry stats too, but the CLI rejects --stats-out
-    // for them (`reject_stats_out`), so only search and chaos can have a
-    // destination here.
     let stats = match (cli.stats_out(), output.stats) {
         (Some(path), Some(json)) => Some(StatsArtifact {
             path: path.to_string(),

@@ -279,6 +279,56 @@ fn partition_timeline_spec_end_to_end() {
     assert!(err.contains("not live"), "stderr: {err}");
 }
 
+/// A §5.3 churn timeline small enough for a debug build: 45 epochs
+/// before the dual-active conflict, tens of thousands of count draws.
+const CHURN_RUN: &[&str] = &[
+    "partition",
+    "--timeline",
+    "churn@0:0=0.5,0.5",
+    "--strategy",
+    "dual-active",
+    "--validators",
+    "3000",
+    "--epochs",
+    "48",
+    "--format",
+    "json",
+];
+
+/// `partition --stats-out` writes the batch's work counters: for a
+/// churn timeline, the per-cohort binomial draws and the members they
+/// cover.
+#[test]
+fn partition_stats_out_writes_the_churn_counters() {
+    let path = std::env::temp_dir().join(format!("ethpos-stats-{}.json", std::process::id()));
+    stdout_bytes(&[CHURN_RUN, &["--stats-out", path.to_str().unwrap()]].concat());
+    let stats: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).expect("stats written")).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(stats.get("scenarios").and_then(|v| v.as_u64()), Some(1));
+    let churn = |field: &str| {
+        stats
+            .get("churn")
+            .and_then(|c| c.get(field))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
+    };
+    assert!(churn("draws") > 0, "{stats:?}");
+    assert!(churn("members") >= churn("draws"), "{stats:?}");
+}
+
+/// The counters travel beside the document, never in it: the partition
+/// document is byte-identical with and without `--stats-out`.
+#[test]
+fn partition_document_is_byte_identical_with_and_without_stats_out() {
+    let path = std::env::temp_dir().join(format!("ethpos-stats-doc-{}.json", std::process::id()));
+    let plain = stdout_bytes(CHURN_RUN);
+    let with_stats = stdout_bytes(&[CHURN_RUN, &["--stats-out", path.to_str().unwrap()]].concat());
+    std::fs::remove_file(&path).ok();
+    assert!(!plain.is_empty());
+    assert_eq!(with_stats, plain, "--stats-out changed the document");
+}
+
 /// A `--regen-golden` that cannot write must exit non-zero with the
 /// error on stderr — a scripted `--regen-golden && git diff` must never
 /// proceed on stale fixtures.

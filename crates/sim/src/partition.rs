@@ -1507,7 +1507,9 @@ impl<B: StateBackend> PartitionSim<B> {
             let ejected_honest: u64 = (1..state.num_classes())
                 .map(|c| state.class_stats(c).exited)
                 .sum();
-            let total = state.total_active_balance().as_u64();
+            // Byzantine marking changes only flags: stage 2's total
+            // still holds.
+            let total = statuses[position].total_active_stake;
             let attesting = honest_attesting[position].as_u64()
                 + if byz_on { byz.active_stake.as_u64() } else { 0 };
 

@@ -43,6 +43,21 @@
 //! [`CohortState::shared_chunks`] makes the sharing observable, and the
 //! aliasing unit tests below pin that post-fork mutations never leak into
 //! a sibling.
+//!
+//! # In-place rebuilds
+//!
+//! A chunk that no other state shares (`Arc::get_mut` succeeds — every
+//! chunk of a branch that has mutated since its fork) is rebuilt in its
+//! own allocation: the epoch's member updates map the runs in place, and
+//! sampled or counted marking splits them in place (the runs move to the
+//! back half of the buffer and the parts are written from the front, in
+//! the same order the draws are taken). Shared chunks take the copy path
+//! above. Marking writes each cohort's unmarked part before its marked
+//! part, so a class whose `current_flags` are uniform stays sorted and
+//! re-canonicalizing only merges equal neighbours; the sort runs only
+//! for input that is out of order. The epoch transition reads all of its
+//! cohort-wide sums (total active balance, both target balances, the
+//! participating increments) from one pass over the runs.
 
 use std::sync::Arc;
 
@@ -67,8 +82,15 @@ type Chunk = Arc<Vec<(MemberState, u64)>>;
 /// Restores a chunk's canonical form: sorted by the [`MemberState`]
 /// ordering with equal adjacent states merged (summing counts) — the
 /// same normal form a `BTreeMap<(class, state), count>` would produce.
+///
+/// Input that is already in order skips the sort: marking a class
+/// whose `current_flags` are uniform (every churn epoch) and mapping
+/// runs through an order-preserving update both produce it. Any other
+/// input takes the sort, so the result is exact either way.
 fn canonicalize(runs: &mut Vec<(MemberState, u64)>) {
-    runs.sort_unstable_by_key(|run| run.0);
+    if !runs.is_sorted_by_key(|run| run.0) {
+        runs.sort_unstable_by_key(|run| run.0);
+    }
     let mut write = 0;
     for read in 0..runs.len() {
         if write > 0 && runs[write - 1].0 == runs[read].0 {
@@ -81,10 +103,23 @@ fn canonicalize(runs: &mut Vec<(MemberState, u64)>) {
     runs.truncate(write);
 }
 
-/// Maps every run of `chunk` through `f`, re-canonicalizes, and swaps in
-/// a fresh allocation — unless `f` fixes every state, in which case the
-/// existing `Arc` (and any sharing with sibling branches) is kept.
+/// Maps every run of `chunk` through `f` and re-canonicalizes. A chunk
+/// this state owns alone is rebuilt in place; a shared one gets a fresh
+/// allocation — unless `f` fixes every state, in which case the
+/// existing `Arc` (and the sharing with sibling branches) is kept.
 fn transform_chunk(chunk: &mut Chunk, mut f: impl FnMut(&MemberState) -> MemberState) {
+    if let Some(runs) = Arc::get_mut(chunk) {
+        let mut changed = false;
+        for run in runs.iter_mut() {
+            let mapped = f(&run.0);
+            changed |= mapped != run.0;
+            run.0 = mapped;
+        }
+        if changed {
+            canonicalize(runs);
+        }
+        return;
+    }
     let mut changed = false;
     let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len());
     for &(m, count) in chunk.iter() {
@@ -98,6 +133,86 @@ fn transform_chunk(chunk: &mut Chunk, mut f: impl FnMut(&MemberState) -> MemberS
     canonicalize(&mut next);
     *chunk = Arc::new(next);
 }
+
+/// Splits every run of `chunk` into the members that keep their state
+/// and `marked(active, count)` members (clamped to `count`, and zero for
+/// exited runs) that get `flags` merged into their current-epoch
+/// participation — the shared body of the sampled and counted marking
+/// paths. `marked` is called once per run, in canonical order, so the
+/// caller's draw stream does not depend on which path runs.
+///
+/// The unmarked part is written first: it has the smaller
+/// `current_flags`, so a class whose `current_flags` are uniform comes
+/// out already sorted and [`canonicalize`] only merges. A chunk owned
+/// alone is split in place; a shared one is copied, and kept when
+/// nothing changed.
+fn mark_split(
+    chunk: &mut Chunk,
+    epoch: Epoch,
+    flags: ParticipationFlags,
+    mut marked: impl FnMut(bool, u64) -> u64,
+) {
+    let mut split = |m: MemberState, count: u64| {
+        let active = m.is_active_at(epoch);
+        let drawn = marked(active, count);
+        let drawn = if active { drawn.min(count) } else { 0 };
+        let flagged = MemberState {
+            current_flags: m.current_flags.union(flags),
+            ..m
+        };
+        [(m, count - drawn), (flagged, drawn)]
+    };
+    if let Some(runs) = Arc::get_mut(chunk) {
+        // Copy the runs to the back half, then write the parts from the
+        // front: after `i` runs at most `2i` parts are written, so the
+        // write cursor never overtakes the run being read at `n + i`.
+        let n = runs.len();
+        runs.extend_from_within(..);
+        let mut write = 0;
+        for read in n..2 * n {
+            let (m, count) = runs[read];
+            for part in split(m, count) {
+                if part.1 > 0 {
+                    runs[write] = part;
+                    write += 1;
+                }
+            }
+        }
+        runs.truncate(write);
+        canonicalize(runs);
+        return;
+    }
+    let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len() + 1);
+    for &(m, count) in chunk.iter() {
+        next.extend(split(m, count).into_iter().filter(|part| part.1 > 0));
+    }
+    canonicalize(&mut next);
+    if next != **chunk {
+        *chunk = Arc::new(next);
+    }
+}
+
+/// The cohort-wide sums one epoch transition reads, gathered in a
+/// single pass over every run (see [`CohortState::epoch_aggregates`]).
+struct EpochAggregates {
+    /// Spec `get_total_active_balance` (increment-floored).
+    total_active: Gwei,
+    /// Unslashed timely-target balance of the previous epoch.
+    previous_target: Gwei,
+    /// Unslashed timely-target balance of the current epoch.
+    current_target: Gwei,
+    /// Unslashed participating increments of the previous epoch, per
+    /// flag in [`FLAG_INDICES`] order.
+    participating_increments: [u64; 3],
+}
+
+/// The flags that earn attestation rewards, in the order of the
+/// reward weights.
+const FLAG_INDICES: [u8; 3] = [
+    TIMELY_SOURCE_FLAG_INDEX,
+    TIMELY_TARGET_FLAG_INDEX,
+    TIMELY_HEAD_FLAG_INDEX,
+];
 
 /// Cohort-compressed beacon state: per-class `(state, count)` chunks plus
 /// the global finality bookkeeping, processed with exact spec integer
@@ -218,34 +333,44 @@ impl CohortState {
             .sum()
     }
 
-    /// Spec `get_total_active_balance` (increment-floored).
-    fn total_active_balance_inner(&self) -> Gwei {
-        let epoch = self.current_epoch();
-        let total = self.sum_over(|m| {
-            if m.is_active_at(epoch) {
-                m.effective_balance.as_u64()
-            } else {
-                0
+    /// Every aggregate of the epoch transition in one pass over the
+    /// cohorts. Justification writes only checkpoints, so the sums it
+    /// reads are also the ones the member updates read.
+    fn epoch_aggregates(&self) -> EpochAggregates {
+        let current_epoch = self.current_epoch();
+        let previous_epoch = self.previous_epoch();
+        let increment = self.config.effective_balance_increment.as_u64();
+        let mut total_active = 0u64;
+        let mut previous_target = 0u64;
+        let mut current_target = 0u64;
+        let mut participating_increments = [0u64; 3];
+        for (m, count) in self.chunks.iter().flat_map(|chunk| chunk.iter()) {
+            let stake = count * m.effective_balance.as_u64();
+            if m.is_active_at(current_epoch) {
+                total_active += stake;
+                if !m.slashed && m.current_flags.has_timely_target() {
+                    current_target += stake;
+                }
             }
-        });
-        Gwei::new(total).max(self.config.effective_balance_increment)
-    }
-
-    /// Spec `unslashed_participating_target_balance` for the previous or
-    /// current epoch.
-    fn target_balance(&self, epoch: Epoch, previous: bool) -> Gwei {
-        Gwei::new(self.sum_over(|m| {
-            let flags = if previous {
-                m.previous_flags
-            } else {
-                m.current_flags
-            };
-            if !m.slashed && m.is_active_at(epoch) && flags.has_timely_target() {
-                m.effective_balance.as_u64()
-            } else {
-                0
+            if m.slashed || !m.is_active_at(previous_epoch) {
+                continue;
             }
-        }))
+            if m.previous_flags.has_timely_target() {
+                previous_target += stake;
+            }
+            for (k, &flag) in FLAG_INDICES.iter().enumerate() {
+                if m.previous_flags.has(flag) {
+                    participating_increments[k] +=
+                        count * (m.effective_balance.as_u64() / increment);
+                }
+            }
+        }
+        EpochAggregates {
+            total_active: Gwei::new(total_active).max(self.config.effective_balance_increment),
+            previous_target: Gwei::new(previous_target),
+            current_target: Gwei::new(current_target),
+            participating_increments,
+        }
     }
 
     // ── epoch processing ────────────────────────────────────────────────
@@ -269,35 +394,37 @@ impl CohortState {
         // gate comfortably under 3% while the stage histograms stay
         // representative (epoch 0 is always in the sample). Timing is
         // observation-only — the transition itself is identical on both
-        // paths.
+        // paths. The `justification` stage includes the aggregate pass.
         let timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
         match timer {
             Some(mut t) => {
-                self.process_justification_and_finalization();
+                let aggregates = self.epoch_aggregates();
+                self.process_justification_and_finalization(&aggregates);
                 t.stage("justification");
-                self.process_member_updates();
+                self.process_member_updates(&aggregates);
                 t.stage("member_updates");
                 self.process_slashings_reset();
                 t.stage("slashings_reset");
             }
             None => {
-                self.process_justification_and_finalization();
-                self.process_member_updates();
+                let aggregates = self.epoch_aggregates();
+                self.process_justification_and_finalization(&aggregates);
+                self.process_member_updates(&aggregates);
                 self.process_slashings_reset();
             }
         }
     }
 
-    fn process_justification_and_finalization(&mut self) {
+    fn process_justification_and_finalization(&mut self, aggregates: &EpochAggregates) {
         let current_epoch = self.current_epoch();
         // Spec: skip the first two epochs.
         if current_epoch.as_u64() <= 1 {
             return;
         }
         let previous_epoch = self.previous_epoch();
-        let total = self.total_active_balance_inner();
-        let previous_target = self.target_balance(previous_epoch, true);
-        let current_target = self.target_balance(current_epoch, false);
+        let total = aggregates.total_active;
+        let previous_target = aggregates.previous_target;
+        let current_target = aggregates.current_target;
         let prev_root = self.epoch_roots[previous_epoch.as_u64() as usize];
         let curr_root = self.epoch_roots[current_epoch.as_u64() as usize];
 
@@ -337,7 +464,7 @@ impl CohortState {
     /// The six member-local epoch steps (inactivity, rewards & penalties,
     /// registry, slashings, effective balance, flag rotation), fused into
     /// one chunk rebuild per class.
-    fn process_member_updates(&mut self) {
+    fn process_member_updates(&mut self, aggregates: &EpochAggregates) {
         let current_epoch = self.current_epoch();
         let previous_epoch = self.previous_epoch();
 
@@ -352,7 +479,7 @@ impl CohortState {
 
         // ── reward & penalty aggregates (all invariant under the
         //    score-only inactivity writes) ──
-        let total_active = self.total_active_balance_inner().as_u64();
+        let total_active = aggregates.total_active.as_u64();
         let increment = self.config.effective_balance_increment.as_u64();
         let total_increments = (total_active / increment).max(1);
         let base_per_increment = {
@@ -363,31 +490,12 @@ impl CohortState {
         let leak_denominator =
             self.config.inactivity_score_bias * self.config.inactivity_penalty_quotient;
         let paper_semantics = self.config.paper_inactivity_penalties;
-        let flag_indices = [
-            TIMELY_SOURCE_FLAG_INDEX,
-            TIMELY_TARGET_FLAG_INDEX,
-            TIMELY_HEAD_FLAG_INDEX,
-        ];
         let weights = [
             self.config.timely_source_weight,
             self.config.timely_target_weight,
             self.config.timely_head_weight,
         ];
-        // Participating increments per flag (unslashed, previous epoch).
-        let mut participating_increments = [0u64; 3];
-        for chunk in &self.chunks {
-            for (m, count) in chunk.iter() {
-                if m.slashed || !m.is_active_at(previous_epoch) {
-                    continue;
-                }
-                for (k, &flag) in flag_indices.iter().enumerate() {
-                    if m.previous_flags.has(flag) {
-                        participating_increments[k] +=
-                            count * (m.effective_balance.as_u64() / increment);
-                    }
-                }
-            }
-        }
+        let participating_increments = aggregates.participating_increments;
 
         // ── registry aggregates ──
         let ejection_balance = self.config.ejection_balance;
@@ -436,7 +544,7 @@ impl CohortState {
                     let base_reward = increments_i * base_per_increment;
                     let mut reward = 0u64;
                     let mut penalty = 0u64;
-                    for (k, &flag) in flag_indices.iter().enumerate() {
+                    for (k, &flag) in FLAG_INDICES.iter().enumerate() {
                         let participated = !m.slashed && m.previous_flags.has(flag);
                         if participated {
                             if !in_leak {
@@ -577,11 +685,26 @@ impl StateBackend for CohortState {
     }
 
     fn total_active_balance(&self) -> Gwei {
-        self.total_active_balance_inner()
+        let epoch = self.current_epoch();
+        let total = self.sum_over(|m| {
+            if m.is_active_at(epoch) {
+                m.effective_balance.as_u64()
+            } else {
+                0
+            }
+        });
+        Gwei::new(total).max(self.config.effective_balance_increment)
     }
 
     fn current_target_balance(&self) -> Gwei {
-        self.target_balance(self.current_epoch(), false)
+        let epoch = self.current_epoch();
+        Gwei::new(self.sum_over(|m| {
+            if !m.slashed && m.is_active_at(epoch) && m.current_flags.has_timely_target() {
+                m.effective_balance.as_u64()
+            } else {
+                0
+            }
+        }))
     }
 
     fn num_classes(&self) -> usize {
@@ -632,35 +755,12 @@ impl StateBackend for CohortState {
         draw: &mut dyn FnMut() -> bool,
     ) {
         let epoch = self.current_epoch();
-        let chunk = &mut self.chunks[class];
-        let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len() + 1);
-        for &(m, count) in chunk.iter() {
-            // Consume one draw per member — exited members included, so
-            // a caller feeding both partition branches from one shared
-            // membership buffer stays index-aligned (see the trait doc).
-            let drawn = (0..count).filter(|_| draw()).count();
-            let drawn = drawn as u64;
-            if !m.is_active_at(epoch) {
-                next.push((m, count));
-                continue;
-            }
-            // Split the cohort: `drawn` members get the flags, the rest
-            // keep their state. Equal results re-merge on canonicalize.
-            if drawn > 0 {
-                let marked = MemberState {
-                    current_flags: m.current_flags.union(flags),
-                    ..m
-                };
-                next.push((marked, drawn));
-            }
-            if drawn < count {
-                next.push((m, count - drawn));
-            }
-        }
-        canonicalize(&mut next);
-        if next != **chunk {
-            *chunk = Arc::new(next);
-        }
+        // Consume one draw per member — exited members included, so a
+        // caller feeding both partition branches from one shared
+        // membership buffer stays index-aligned (see the trait doc).
+        mark_split(&mut self.chunks[class], epoch, flags, |_, count| {
+            (0..count).filter(|_| draw()).count() as u64
+        });
     }
 
     fn mark_class_counted(
@@ -670,33 +770,15 @@ impl StateBackend for CohortState {
         sample: &mut dyn FnMut(u64) -> u64,
     ) {
         let epoch = self.current_epoch();
-        let chunk = &mut self.chunks[class];
-        let mut next: Vec<(MemberState, u64)> = Vec::with_capacity(chunk.len() + 1);
-        for &(m, count) in chunk.iter() {
-            // Exited cohorts consume no draw (trait contract): the
-            // stream is one count draw per *active* cohort.
-            if !m.is_active_at(epoch) {
-                next.push((m, count));
-                continue;
+        // Exited cohorts consume no draw (trait contract): the stream is
+        // one count draw per *active* cohort.
+        mark_split(&mut self.chunks[class], epoch, flags, |active, count| {
+            if active {
+                sample(count)
+            } else {
+                0
             }
-            let drawn = sample(count).min(count);
-            // Split the cohort: `drawn` members get the flags, the rest
-            // keep their state. Equal results re-merge on canonicalize.
-            if drawn > 0 {
-                let marked = MemberState {
-                    current_flags: m.current_flags.union(flags),
-                    ..m
-                };
-                next.push((marked, drawn));
-            }
-            if drawn < count {
-                next.push((m, count - drawn));
-            }
-        }
-        canonicalize(&mut next);
-        if next != **chunk {
-            *chunk = Arc::new(next);
-        }
+        });
     }
 
     fn advance_epoch(&mut self, next_checkpoint_root: Option<Root>) {

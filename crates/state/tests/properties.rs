@@ -1,10 +1,14 @@
 //! Property-based invariants of the beacon-state transition under random
-//! participation patterns.
+//! participation patterns, and of the cohort backend's in-place and
+//! copy-on-write rebuild paths.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
+use ethpos_state::backend::{ClassSpec, StateBackend, StateSnapshot};
 use ethpos_state::participation::TIMELY_TARGET_FLAG_INDEX;
-use ethpos_state::{BeaconState, ParticipationFlags};
+use ethpos_state::{BeaconState, CohortState, ParticipationFlags, ReferenceCohortState};
 use ethpos_types::{ChainConfig, Gwei, ValidatorIndex};
 
 const N: usize = 12;
@@ -147,6 +151,83 @@ proptest! {
             prop_assert!(state.validators()[i].slashed);
             prop_assert!(state.balance(ValidatorIndex::new(v)) <= balances_after_slash[i]);
             prop_assert!(state.validators()[i].exit_epoch.as_u64() <= 1);
+        }
+    }
+}
+
+/// One random step on a cohort backend: `kind` picks the operation
+/// (`mark_class`, `mark_class_sampled`, `mark_class_counted` or
+/// `advance_epoch`), `class` the class and the low three bits of `bits`
+/// the flags. Marking with different flag sets within one epoch leaves a
+/// class with mixed `current_flags`, which makes a split come out of
+/// order and takes `canonicalize`'s sort.
+fn apply_op<B: StateBackend>(
+    state: &mut B,
+    (kind, class, bits): (u8, usize, u8),
+    rng: &mut StdRng,
+) {
+    let class = class % state.num_classes();
+    let mut flags = ParticipationFlags::EMPTY;
+    for index in 0..3 {
+        if bits >> index & 1 == 1 {
+            flags.set(index);
+        }
+    }
+    match kind % 5 {
+        0 => state.mark_class(class, flags),
+        1 => state.mark_class_sampled(class, flags, &mut || rng.random_bool(0.5)),
+        // Up to one past the cohort size: overdraws must be clamped.
+        2 => state.mark_class_counted(class, flags, &mut |count| rng.random_range(0..count + 2)),
+        _ => state.advance_epoch(None),
+    }
+}
+
+/// Every class of `snapshot` is strictly sorted with no zero-count run.
+fn is_canonical(snapshot: &StateSnapshot) -> bool {
+    snapshot.classes.iter().all(|runs| {
+        runs.iter().all(|&(_, count)| count > 0) && runs.windows(2).all(|w| w[0].0 < w[1].0)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cohort backend rebuilds chunks it owns alone in place and
+    /// copies shared ones. Both paths must give the same canonical state
+    /// as the clone-based reference after every operation, and a
+    /// mutation through the shared path must leave the sibling fork it
+    /// shares chunks with untouched. Classes straddle the 16.75-ETH
+    /// ejection edge, so exited cohorts appear early.
+    #[test]
+    fn in_place_and_shared_rebuilds_match_the_reference(
+        raw in proptest::collection::vec((1u64..48, 16.0f64..33.0), 1..4),
+        ops in proptest::collection::vec((any::<u8>(), 0usize..4, any::<u8>()), 1..96),
+        seed in any::<u64>(),
+        paper in any::<bool>(),
+    ) {
+        let config = if paper { ChainConfig::paper() } else { ChainConfig::minimal() };
+        let classes: Vec<ClassSpec> = raw
+            .iter()
+            .map(|&(count, eth)| ClassSpec { count, balance: Gwei::from_eth_f64(eth) })
+            .collect();
+        let mut unique = CohortState::from_classes(config.clone(), &classes);
+        let mut shared = CohortState::from_classes(config.clone(), &classes);
+        let mut reference = ReferenceCohortState::from_classes(config, &classes);
+        let mut rngs = [0, 1, 2].map(|_| StdRng::seed_from_u64(seed));
+        for (step, &op) in ops.iter().enumerate() {
+            let sibling = shared.clone();
+            let before = sibling.snapshot();
+            apply_op(&mut unique, op, &mut rngs[0]);
+            apply_op(&mut shared, op, &mut rngs[1]);
+            apply_op(&mut reference, op, &mut rngs[2]);
+            let want = reference.snapshot();
+            let got = unique.snapshot();
+            prop_assert!(is_canonical(&got), "step {step}: in-place chunk not canonical");
+            prop_assert_eq!(&got, &want, "step {}: in-place path", step);
+            let got = shared.snapshot();
+            prop_assert!(is_canonical(&got), "step {step}: copied chunk not canonical");
+            prop_assert_eq!(&got, &want, "step {}: shared path", step);
+            prop_assert_eq!(sibling.snapshot(), before, "step {}: sibling changed", step);
         }
     }
 }
