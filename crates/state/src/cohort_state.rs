@@ -396,9 +396,9 @@ impl CohortState {
         // observation-only — the transition itself is identical on both
         // paths. The `justification` stage includes the aggregate pass.
         let timer = stage_timer("cohort", self.current_epoch().as_u64() & 63 == 0);
+        let aggregates = self.epoch_aggregates();
         match timer {
             Some(mut t) => {
-                let aggregates = self.epoch_aggregates();
                 self.process_justification_and_finalization(&aggregates);
                 t.stage("justification");
                 self.process_member_updates(&aggregates);
@@ -407,7 +407,6 @@ impl CohortState {
                 t.stage("slashings_reset");
             }
             None => {
-                let aggregates = self.epoch_aggregates();
                 self.process_justification_and_finalization(&aggregates);
                 self.process_member_updates(&aggregates);
                 self.process_slashings_reset();
